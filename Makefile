@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-smoke bench-batch chaos overload overload-aware dist-smoke dist-chaos optimize
+.PHONY: build test race vet bench bench-smoke bench-batch bench-window chaos overload overload-aware dist-smoke dist-chaos optimize
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,12 @@ bench-smoke:
 # BENCH_BATCH_MIN_GAIN percent (default 20).
 bench-batch:
 	./scripts/bench_smoke.sh batch
+
+# Only the window-decay gate: fig3c plain FASP at W=360 must keep at least
+# 1/BENCH_WINDOW_MAX_DECAY (default 1/8) of its W=30 throughput, best of
+# BENCH_SMOKE_COUNT runs.
+bench-window:
+	./scripts/bench_smoke.sh window
 
 # Supervision under fault injection: panic isolation, chaos kills, restart
 # policies and poison-record routing, all under the race detector.

@@ -360,3 +360,8 @@ func (w *windowAggregate) evictBefore(liveStart event.Time, out *Collector) {
 		}
 	}
 }
+
+// alignUp rounds ts up to the next multiple of step.
+func alignUp(ts, step event.Time) event.Time {
+	return event.FloorDiv(ts+step-1, step) * step
+}

@@ -328,3 +328,55 @@ func TestCheckpointRequiresStore(t *testing.T) {
 		t.Fatal("checkpoint spec without store must fail")
 	}
 }
+
+// TestRestoreRefusesOlderSnapshotFormat restores window-join and sink
+// snapshots in the layout written before snapshotFormat existed (window
+// join panes as Left/Right lists plus a seen-set, sink keys as text).
+// Gob still matches some of their fields, so only the format check stops
+// them from restoring an empty join or a sink that recounts old matches.
+func TestRestoreRefusesOlderSnapshotFormat(t *testing.T) {
+	type oldPane struct{ Left, Right []Record }
+	type oldJoin struct {
+		Panes    map[int64]map[event.Time]*oldPane
+		NextFire event.Time
+		Seen     map[string]event.Time
+	}
+	type oldResults struct {
+		Matches       []*event.Match
+		Seen          []string
+		Total, Unique int64
+	}
+	rec := Record{TS: 3, Event: event.Event{Type: tQ, ID: 1, TS: 3}}
+	join, err := gobEncode(oldJoin{
+		Panes:    map[int64]map[event.Time]*oldPane{0: {3: {Left: []Record{rec}}}},
+		NextFire: 0,
+		Seen:     map[string]event.Time{"1:1:3": 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := gobEncode(oldResults{Seen: []string{"1:1:3"}, Total: 2, Unique: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := NewWindowJoin(WindowJoinSpec{Window: 5, Slide: 1})(0).(Snapshotter)
+	if err := op.RestoreState(join); err == nil || !strings.Contains(err.Error(), "format 0") {
+		t.Errorf("window join restored an old-format snapshot: err = %v", err)
+	}
+	if err := NewResults(true, false).restore(sink); err == nil || !strings.Contains(err.Error(), "format 0") {
+		t.Errorf("results sink restored an old-format snapshot: err = %v", err)
+	}
+
+	// The current format still round-trips.
+	if data, err := op.SnapshotState(); err != nil {
+		t.Fatal(err)
+	} else if err := op.RestoreState(data); err != nil {
+		t.Fatalf("current window-join snapshot: %v", err)
+	}
+	res := NewResults(true, false)
+	if data, err := res.snapshot(); err != nil {
+		t.Fatal(err)
+	} else if err := res.restore(data); err != nil {
+		t.Fatalf("current sink snapshot: %v", err)
+	}
+}

@@ -1,6 +1,7 @@
 package asp
 
 import (
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"sync"
@@ -57,14 +58,16 @@ func (f *OperatorFailure) PoisonKey() string { return f.RecordKey }
 
 // poisonKey derives a record's stable identity across restarts: replayed
 // records carry the same content, while engine-level fields (Src, Port)
-// shift with the rebuilt topology. Control records have no identity.
+// shift with the rebuilt topology. A match's binary identity is rendered
+// as hex, so the key can be typed back as a chaos %recordkey spec. Control
+// records have no identity.
 func poisonKey(r Record) string {
 	switch r.Kind {
 	case KindEvent:
 		e := r.Event
 		return fmt.Sprintf("e:%d:%d:%d:%g", e.Type, e.ID, e.TS, e.Value)
 	case KindMatch:
-		return "m:" + r.Match.Key()
+		return "m:" + hex.EncodeToString(r.Match.AppendKey(nil))
 	}
 	return ""
 }
@@ -76,7 +79,7 @@ func summarize(r Record) string {
 		e := r.Event
 		return fmt.Sprintf("event{type=%s id=%d ts=%d value=%g}", event.TypeName(e.Type), e.ID, e.TS, e.Value)
 	case KindMatch:
-		return fmt.Sprintf("match{%s}", r.Match.Key())
+		return r.Match.String()
 	case KindWatermark:
 		return fmt.Sprintf("watermark{%d}", r.TS)
 	case KindBarrier:

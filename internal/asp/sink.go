@@ -26,6 +26,7 @@ type Results struct {
 	mu      sync.Mutex
 	matches []*event.Match
 	seen    map[string]struct{}
+	keyBuf  []byte // reused Match.AppendKey buffer for dedup lookups
 	total   int64
 	unique  int64
 	// lat is the detection-latency histogram (nanoseconds): log-bucketed,
@@ -65,6 +66,7 @@ func (s *resultSink) RestoreState(data []byte) error { return s.res.restore(data
 // because map[string]struct{} has no gob encoding; the latency histogram is
 // captured as its sparse bucket state.
 type resultsState struct {
+	Format  int // snapshotFormat: Seen holds binary Match keys
 	Matches []*event.Match
 	Seen    []string
 	Total   int64
@@ -76,6 +78,7 @@ func (r *Results) snapshot() ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := resultsState{
+		Format:  snapshotFormat,
 		Matches: r.matches,
 		Seen:    make([]string, 0, len(r.seen)),
 		Total:   r.total,
@@ -90,7 +93,7 @@ func (r *Results) snapshot() ([]byte, error) {
 
 func (r *Results) restore(data []byte) error {
 	var st resultsState
-	if err := gobDecode(data, &st); err != nil {
+	if err := gobDecodeFormat("results sink", data, &st, &st.Format); err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -116,11 +119,13 @@ func (r *Results) add(rec Record) {
 	}
 	m := rec.ToMatch()
 	if r.Dedup {
-		k := m.Key()
-		if _, dup := r.seen[k]; dup {
+		// string(buf) in a map index does not allocate: a duplicate costs
+		// no allocation, and only a new key is copied into the map.
+		r.keyBuf = m.AppendKey(r.keyBuf[:0])
+		if _, dup := r.seen[string(r.keyBuf)]; dup {
 			return
 		}
-		r.seen[k] = struct{}{}
+		r.seen[string(r.keyBuf)] = struct{}{}
 	}
 	r.unique++
 	if r.Keep {

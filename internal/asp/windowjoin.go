@@ -1,6 +1,7 @@
 package asp
 
 import (
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -18,13 +19,14 @@ type JoinPredicate func(left, right []event.Event) bool
 // conjunction (Cartesian product), sequence (θ join) and iteration (θ self
 // join) under explicit windowing (Table 1).
 //
-// Events are bucketed into panes of the slide size; a window is the union
-// of Window/Slide consecutive panes, aligned at multiples of Slide (Eqs.
-// 4-5). When the watermark passes a window's end, the window's left and
-// right contents are cross-joined under the predicate. Matches contained in
-// several overlapping windows are emitted once per window — the duplicate
-// behaviour inherent to this mapping (§3.1.4, second impact) that
-// optimization O1 eliminates.
+// Window k holds the records with time in [k·Slide, k·Slide+Window) (Eqs.
+// 4-5); when the watermark passes its end, its left and right contents
+// are cross-joined under the predicate. A match in several overlapping
+// windows is emitted once per window — the duplicate behaviour inherent
+// to this mapping (§3.1.4, second impact) that optimization O1 removes.
+// Each record pair is still joined only once, by its first window; the
+// match is stored on the pane of the earlier record, and later windows
+// covering that pane emit the same *event.Match again.
 type WindowJoinSpec struct {
 	Window, Slide event.Time
 	// LeftKey/RightKey group events within an instance; nil means one
@@ -37,12 +39,18 @@ type WindowJoinSpec struct {
 	// NewPredicate, when set, builds one predicate per operator instance
 	// and takes precedence over Predicate.
 	NewPredicate func() JoinPredicate
-	// DedupEmits suppresses the per-overlapping-window duplicate emissions
-	// of one join stage. Chained joins of a decomposed nested pattern
-	// multiply duplicates by ~Window/Slide per stage — exponential in the
-	// chain depth — so the translator dedups every intermediate join and
-	// leaves only the final stage's duplicates observable (§3.1.4).
+	// DedupEmits emits each pair once, on the firing that joins it,
+	// instead of once per covering window. Chained joins of a decomposed
+	// nested pattern multiply duplicates by ~Window/Slide per stage —
+	// exponential in the chain depth — so the translator dedups every
+	// intermediate join and leaves only the final stage's duplicates
+	// observable (§3.1.4).
 	DedupEmits bool
+	// SelfJoin reports that one event can reach both inputs with no
+	// temporal order between the sides (e.g. AND(A a, A b)), so distinct
+	// pairs may share a constituent set. Such twins join on the same
+	// firing, which under DedupEmits emits the set once.
+	SelfJoin bool
 }
 
 // NewWindowJoin returns the operator factory for Stream.Connect2.
@@ -51,60 +59,59 @@ func NewWindowJoin(spec WindowJoinSpec) func(int) Operator {
 		j := &windowJoin{
 			spec:     spec,
 			pred:     spec.Predicate,
-			state:    make(map[int64]map[event.Time]*joinPane),
+			keys:     [2]KeyFn{spec.LeftKey, spec.RightKey},
+			state:    make(map[int64]*joinGroup),
 			nextFire: event.MaxWatermark,
 		}
 		if spec.NewPredicate != nil {
 			j.pred = spec.NewPredicate()
 		}
-		if spec.DedupEmits {
-			j.seen = make(map[string]event.Time)
+		if spec.DedupEmits && spec.SelfJoin {
+			j.twins = make(map[string]struct{})
 		}
 		return j
 	}
 }
 
+// joinPane holds one key group's records of one pane, indexed by input
+// port (0 left, 1 right). The first Done[side] records of a side have been
+// joined; the rest are new. Exported fields form the gob snapshot.
 type joinPane struct {
-	left, right []Record
+	Idx   event.Time
+	Recs  [2][]Record
+	Done  [2]int
+	Pairs []*event.Match // stored pairs whose earlier record lies here
+	cut   [2]int         // end of the new records the current firing joins
 }
+
+// joinGroup holds one key group's panes in ascending index order.
+type joinGroup struct{ Panes []*joinPane }
 
 type windowJoin struct {
-	spec     WindowJoinSpec
-	pred     JoinPredicate
-	state    map[int64]map[event.Time]*joinPane // key -> pane index -> pane
-	nextFire event.Time                         // start of the earliest unfired window
-	seen     map[string]event.Time              // emitted match keys (DedupEmits)
-	recCount int64                              // records buffered across panes (mirrors AddState)
-	// Shedding statistics: per-side arrival rates and the max event time
-	// seen, feeding completion scores (pattern-aware victim selection)
-	// and lost-match bounds (recall accounting).
-	lRate, rRate arrivalRate
-	maxTS        event.Time
-	scratchL     []event.Event
-	scratchR     []event.Event
-	freeEvs      [][]event.Event // recycled match constituent buffers
-	freeRecs     [][]Record      // recycled pane buffers
+	spec      WindowJoinSpec
+	pred      JoinPredicate
+	keys      [2]KeyFn // per input port
+	state     map[int64]*joinGroup
+	nextFire  event.Time // start of the earliest unfired window
+	firing    event.Time // index of the window being fired
+	recCount  int64      // records buffered across panes (mirrors AddState)
+	pairCount int64      // pairs stored on panes (mirrors AddState)
+	stateCap  int64      // SetStateBudget: store no pair beyond this many units
+	twins     map[string]struct{}
+	keyBuf    []byte
+	// Shedding statistics: per-port arrival rates and the max event time.
+	rate               [2]arrivalRate
+	maxTS              event.Time
+	scratchL, scratchR []event.Event
+	freeEvs            [][]event.Event  // recycled match constituent buffers
+	freeRecs           [][]Record       // recycled pane buffers
+	freePairs          [][]*event.Match // recycled stored-pair buffers
 }
 
-// DropsLateRecords implements LateDropper: OnRecord's nextFire tracking is
-// only correct for records above the merged watermark, so the engine drops
-// late data records at this operator's input.
+// DropsLateRecords implements LateDropper: nextFire tracking and join-once
+// bookkeeping hold only for records above the merged watermark, so the
+// engine drops late data records at this operator's input.
 func (j *windowJoin) DropsLateRecords() {}
-
-func (j *windowJoin) getEvs(n int) []event.Event {
-	if s := takeSlice(&j.freeEvs); s != nil && cap(s) >= n {
-		return s
-	}
-	return make([]event.Event, 0, n)
-}
-
-func (j *windowJoin) putEvs(s []event.Event) { stashSlice(&j.freeEvs, s) }
-
-func (j *windowJoin) getRecs() []Record {
-	return takeSlice(&j.freeRecs) // nil when empty; append allocates lazily
-}
-
-func (j *windowJoin) putRecs(s []Record) { stashSlice(&j.freeRecs, s) }
 
 // Hold implements WatermarkHolder: outputs carry their real (maximum
 // constituent) event time, which lies anywhere inside the firing window, so
@@ -118,43 +125,22 @@ func (j *windowJoin) Hold() event.Time {
 	return j.nextFire - 1
 }
 
-func (j *windowJoin) key(port int, r Record) int64 {
-	k := j.spec.LeftKey
-	if port == 1 {
-		k = j.spec.RightKey
-	}
-	if k == nil {
-		return 0
-	}
-	return k(r)
-}
-
 func (j *windowJoin) OnRecord(port int, r Record, out *Collector) {
-	key := j.key(port, r)
-	panes := j.state[key]
-	if panes == nil {
-		panes = make(map[event.Time]*joinPane)
-		j.state[key] = panes
+	var key int64
+	if k := j.keys[port]; k != nil {
+		key = k(r)
 	}
-	idx := event.PaneIndex(r.TS, j.spec.Slide)
-	p := panes[idx]
-	if p == nil {
-		p = &joinPane{}
-		panes[idx] = p
+	g := j.state[key]
+	if g == nil {
+		g = &joinGroup{}
+		j.state[key] = g
 	}
-	if port == 0 {
-		if p.left == nil {
-			p.left = j.getRecs()
-		}
-		p.left = append(p.left, r)
-		j.lRate.observe(r.TS)
-	} else {
-		if p.right == nil {
-			p.right = j.getRecs()
-		}
-		p.right = append(p.right, r)
-		j.rRate.observe(r.TS)
+	p := g.pane(event.PaneIndex(r.TS, j.spec.Slide))
+	if p.Recs[port] == nil {
+		p.Recs[port] = takeSlice(&j.freeRecs)
 	}
+	p.Recs[port] = append(p.Recs[port], r)
+	j.rate[port].observe(r.TS)
 	if r.TS > j.maxTS {
 		j.maxTS = r.TS
 	}
@@ -171,6 +157,22 @@ func (j *windowJoin) OnRecord(port int, r Record, out *Collector) {
 	}
 }
 
+// pane returns the group's pane idx, inserting it in index order.
+func (g *joinGroup) pane(idx event.Time) *joinPane {
+	i := len(g.Panes)
+	for i > 0 && g.Panes[i-1].Idx > idx {
+		i--
+	}
+	if i > 0 && g.Panes[i-1].Idx == idx {
+		return g.Panes[i-1]
+	}
+	p := &joinPane{Idx: idx}
+	g.Panes = append(g.Panes, nil)
+	copy(g.Panes[i+1:], g.Panes[i:])
+	g.Panes[i] = p
+	return p
+}
+
 func (j *windowJoin) OnWatermark(wm event.Time, out *Collector) {
 	for j.nextFire <= wm-j.spec.Window+1 {
 		// Skip ahead over empty windows: without buffered panes there is
@@ -180,42 +182,22 @@ func (j *windowJoin) OnWatermark(wm event.Time, out *Collector) {
 			j.nextFire = event.MaxWatermark
 			return
 		}
-		// First slide-aligned window start whose window still covers pane
-		// pmin: the smallest multiple of Slide > pmin*Slide - Window.
-		if first := alignUp((pmin+1)*j.spec.Slide-j.spec.Window, j.spec.Slide); first > j.nextFire {
-			j.nextFire = first
+		// The first window overlapping pane pmin holds the pane's start.
+		if k, _ := event.WindowsOf(pmin*j.spec.Slide, j.spec.Window, j.spec.Slide); k*j.spec.Slide > j.nextFire {
+			j.nextFire = k * j.spec.Slide
 			continue
 		}
 		j.fire(j.nextFire, out)
-		j.evictBefore(j.nextFire+j.spec.Slide, out)
 		j.nextFire += j.spec.Slide
 	}
-	if j.seen != nil {
-		// A duplicate of an emitted match can only recur while some window
-		// still covers its constituents: evict once the watermark passes
-		// the last such window's end.
-		for k, tsE := range j.seen {
-			if tsE+j.spec.Window-1 <= wm {
-				delete(j.seen, k)
-				out.AddState(-1)
-			}
-		}
-	}
-}
-
-// alignUp rounds ts up to the next multiple of step.
-func alignUp(ts, step event.Time) event.Time {
-	return event.FloorDiv(ts+step-1, step) * step
 }
 
 // minPane returns the smallest buffered pane index across all key groups.
 func (j *windowJoin) minPane() (event.Time, bool) {
 	min, ok := event.Time(0), false
-	for _, panes := range j.state {
-		for idx := range panes {
-			if !ok || idx < min {
-				min, ok = idx, true
-			}
+	for _, g := range j.state {
+		if idx := g.Panes[0].Idx; !ok || idx < min {
+			min, ok = idx, true
 		}
 	}
 	return min, ok
@@ -223,208 +205,234 @@ func (j *windowJoin) minPane() (event.Time, bool) {
 
 func (j *windowJoin) OnClose(*Collector) {}
 
-// fire cross-joins the window [ws, ws+Window) for every key group. The
-// output carries its true event time (maximum constituent timestamp); the
-// watermark hold above keeps that safe for downstream windows.
+// fire completes the window [ws, ws+Window) in every key group: it joins
+// the pairs the window is the first to cover, emits its stored pairs at
+// their true event time (safe under the watermark hold), and evicts the
+// panes no later window covers.
 func (j *windowJoin) fire(ws event.Time, out *Collector) {
-	paneLo := event.PaneIndex(ws, j.spec.Slide)
-	paneHi := event.PaneIndex(ws+j.spec.Window-1, j.spec.Slide)
-	for _, panes := range j.state {
-		for pl := paneLo; pl <= paneHi; pl++ {
-			lp := panes[pl]
-			if lp == nil || len(lp.left) == 0 {
-				continue
+	bound := ws + j.spec.Window - 1 // every record at or below has arrived
+	hi := event.PaneIndex(bound, j.spec.Slide)
+	j.firing = event.PaneIndex(ws, j.spec.Slide)
+	units := j.recCount + j.pairCount
+	for key, g := range j.state {
+		n := 0
+		for n < len(g.Panes) && g.Panes[n].Idx <= hi {
+			n++
+		}
+		j.joinNew(g.Panes[:n], bound, out)
+		for _, p := range g.Panes[:n] {
+			for _, m := range p.Pairs {
+				out.EmitMatch(m.TsE, m)
 			}
-			for _, l := range lp.left {
-				j.scratchL = l.Constituents(j.scratchL[:0])
-				for pr := paneLo; pr <= paneHi; pr++ {
-					rp := panes[pr]
-					if rp == nil {
-						continue
-					}
-					for _, r := range rp.right {
-						j.scratchR = r.Constituents(j.scratchR[:0])
-						if j.pred != nil && !j.pred(j.scratchL, j.scratchR) {
-							continue
-						}
-						// Assemble constituents into a recycled buffer; the
-						// match takes ownership. Emitted matches are never
-						// recycled (downstream shares the pointer); only
-						// dedup-rejected buffers return to the free list.
-						evs := j.getEvs(len(j.scratchL) + len(j.scratchR))
-						evs = append(evs, j.scratchL...)
-						evs = append(evs, j.scratchR...)
-						m := event.WrapMatch(evs)
-						if j.seen != nil {
-							k := m.Key()
-							if _, dup := j.seen[k]; dup {
-								j.putEvs(evs)
-								continue
-							}
-							j.seen[k] = m.TsE
-							out.AddState(1)
-						}
-						out.EmitMatch(m.TsE, m)
-					}
+		}
+		for len(g.Panes) > 0 && g.Panes[0].Idx <= j.firing {
+			j.release(g.Panes[0])
+			g.Panes[0] = nil
+			g.Panes = g.Panes[1:]
+		}
+		if len(g.Panes) == 0 {
+			delete(j.state, key)
+		}
+	}
+	clear(j.twins)
+	out.AddState(j.recCount + j.pairCount - units)
+}
+
+// joinNew joins the pairs of one key group's live panes that are at or
+// below bound and not joined before: new lefts against every right, then
+// earlier lefts against new rights. Live panes start at the firing's
+// window, so it is the first window covering each such pair.
+func (j *windowJoin) joinNew(live []*joinPane, bound event.Time, out *Collector) {
+	for _, p := range live {
+		for side, recs := range p.Recs {
+			// Move the new records at or below bound to the front; only a
+			// pane straddling the window end has records beyond it.
+			cut := p.Done[side]
+			for i := cut; i < len(recs); i++ {
+				if recs[i].TS <= bound {
+					recs[cut], recs[i] = recs[i], recs[cut]
+					cut++
+				}
+			}
+			p.cut[side] = cut
+		}
+	}
+	for _, lp := range live {
+		for _, l := range lp.Recs[0][lp.Done[0]:lp.cut[0]] {
+			j.scratchL = l.Constituents(j.scratchL[:0])
+			for _, rp := range live {
+				for _, r := range rp.Recs[1][:rp.cut[1]] {
+					j.scratchR = r.Constituents(j.scratchR[:0])
+					j.pair(l, r, lp, rp, out)
 				}
 			}
 		}
 	}
+	for _, rp := range live {
+		for _, r := range rp.Recs[1][rp.Done[1]:rp.cut[1]] {
+			j.scratchR = r.Constituents(j.scratchR[:0])
+			for _, lp := range live {
+				for _, l := range lp.Recs[0][:lp.Done[0]] {
+					j.scratchL = l.Constituents(j.scratchL[:0])
+					j.pair(l, r, lp, rp, out)
+				}
+			}
+		}
+	}
+	for _, p := range live {
+		p.Done = p.cut
+	}
+}
+
+// pair joins one record pair whose constituents are in scratchL/scratchR:
+// a match is emitted now (DedupEmits) or stored on the earlier record's
+// pane for every firing that covers the pair.
+func (j *windowJoin) pair(l, r Record, lp, rp *joinPane, out *Collector) {
+	if j.pred != nil && !j.pred(j.scratchL, j.scratchR) {
+		return
+	}
+	// Only twin-rejected buffers are recycled: downstream shares matches.
+	evs := slices.Grow(takeSlice(&j.freeEvs), len(j.scratchL)+len(j.scratchR))
+	evs = append(evs, j.scratchL...)
+	evs = append(evs, j.scratchR...)
+	m := event.WrapMatch(evs)
+	if !j.spec.DedupEmits {
+		home := lp
+		if r.TS < l.TS {
+			home = rp
+		}
+		if j.stateCap <= 0 || j.recCount+j.pairCount < j.stateCap {
+			if home.Pairs == nil {
+				home.Pairs = takeSlice(&j.freePairs)
+			}
+			home.Pairs = append(home.Pairs, m)
+			j.pairCount++
+			return
+		}
+		// Over the state cap: emit for this window only, charging the
+		// later windows' duplicates as lost.
+		out.AddLostMatches(float64(home.Idx - j.firing))
+	}
+	if j.twins != nil {
+		j.keyBuf = m.AppendKey(j.keyBuf[:0])
+		if _, dup := j.twins[string(j.keyBuf)]; dup {
+			stashSlice(&j.freeEvs, evs)
+			return
+		}
+		j.twins[string(j.keyBuf)] = struct{}{}
+	}
+	out.EmitMatch(m.TsE, m)
+}
+
+// SetStateBudget implements SelfShedder: one firing can store more pairs
+// than the engine's post-watermark check bounds, so at the cap a pair is
+// emitted for its first window unstored, losing its later duplicates.
+func (j *windowJoin) SetStateBudget(max, _ int64, _ func(int64)) { j.stateCap = max }
+
+// release recycles an evicted or shed pane's buffers and returns the units
+// it held; the caller reports them through AddState.
+func (j *windowJoin) release(p *joinPane) int64 {
+	recs, pairs := int64(len(p.Recs[0])+len(p.Recs[1])), int64(len(p.Pairs))
+	j.recCount -= recs
+	j.pairCount -= pairs
+	stashSlice(&j.freeRecs, p.Recs[0])
+	stashSlice(&j.freeRecs, p.Recs[1])
+	clear(p.Pairs) // the matches live on downstream; drop our references
+	stashSlice(&j.freePairs, p.Pairs)
+	return recs + pairs
 }
 
 // windowJoinState is the gob snapshot DTO of a windowJoin instance.
 type windowJoinState struct {
-	Panes    map[int64]map[event.Time]*joinPaneState
+	Format   int // snapshotFormat
+	Groups   map[int64]*joinGroup
 	NextFire event.Time
-	Seen     map[string]event.Time
-}
-
-type joinPaneState struct {
-	Left, Right []Record
 }
 
 // SnapshotState implements Snapshotter.
 func (j *windowJoin) SnapshotState() ([]byte, error) {
-	st := windowJoinState{
-		Panes:    make(map[int64]map[event.Time]*joinPaneState, len(j.state)),
-		NextFire: j.nextFire,
-		Seen:     j.seen,
-	}
-	for key, panes := range j.state {
-		ps := make(map[event.Time]*joinPaneState, len(panes))
-		for idx, p := range panes {
-			ps[idx] = &joinPaneState{Left: p.left, Right: p.right}
-		}
-		st.Panes[key] = ps
-	}
-	return gobEncode(st)
+	return gobEncode(windowJoinState{Format: snapshotFormat, Groups: j.state, NextFire: j.nextFire})
 }
 
 // RestoreState implements Snapshotter.
 func (j *windowJoin) RestoreState(data []byte) error {
 	var st windowJoinState
-	if err := gobDecode(data, &st); err != nil {
+	if err := gobDecodeFormat("window join", data, &st, &st.Format); err != nil {
 		return err
 	}
-	j.state = make(map[int64]map[event.Time]*joinPane, len(st.Panes))
-	for key, ps := range st.Panes {
-		panes := make(map[event.Time]*joinPane, len(ps))
-		for idx, p := range ps {
-			panes[idx] = &joinPane{left: p.Left, right: p.Right}
-		}
-		j.state[key] = panes
-	}
-	j.nextFire = st.NextFire
-	if j.spec.DedupEmits {
-		j.seen = st.Seen
-		if j.seen == nil {
-			j.seen = make(map[string]event.Time)
-		}
-	}
-	j.recCount = 0
-	for _, panes := range j.state {
-		for _, p := range panes {
-			j.recCount += int64(len(p.left) + len(p.right))
+	j.state, j.nextFire = make(map[int64]*joinGroup, len(st.Groups)), st.NextFire
+	j.recCount, j.pairCount = 0, 0
+	for key, g := range st.Groups {
+		j.state[key] = g
+		for _, p := range g.Panes {
+			j.recCount += int64(len(p.Recs[0]) + len(p.Recs[1]))
+			j.pairCount += int64(len(p.Pairs))
 		}
 	}
 	return nil
 }
 
-// BufferedState implements StateCounter: buffered records plus dedup keys,
-// matching the AddState accounting of OnRecord/fire/evict.
-func (j *windowJoin) BufferedState() int64 {
-	var n int64
-	for _, panes := range j.state {
-		for _, p := range panes {
-			n += int64(len(p.left) + len(p.right))
-		}
-	}
-	return n + int64(len(j.seen))
-}
+// BufferedState implements StateCounter: buffered records plus stored
+// pairs, the units OnRecord, fire and shedding account through AddState.
+func (j *windowJoin) BufferedState() int64 { return j.recCount + j.pairCount }
 
-// evictBefore drops panes entirely before the earliest live window start.
-func (j *windowJoin) evictBefore(liveStart event.Time, out *Collector) {
-	cutoff := event.PaneIndex(liveStart, j.spec.Slide)
-	for key, panes := range j.state {
-		for idx, p := range panes {
-			if idx < cutoff {
-				n := int64(len(p.left) + len(p.right))
-				j.recCount -= n
-				out.AddState(-n)
-				j.putRecs(p.left)
-				j.putRecs(p.right)
-				delete(panes, idx)
-			}
-		}
-		if len(panes) == 0 {
-			delete(j.state, key)
-		}
-	}
-}
+// wjPairBytes approximates one stored pair: pointer, match and two events.
+const wjPairBytes = int64(unsafe.Sizeof(uintptr(0)) + unsafe.Sizeof(event.Match{}) + 2*unsafe.Sizeof(event.Event{}))
 
-// wjSeenEntryBytes approximates the footprint of one dedup-map entry
-// (string header + short key + map overhead).
-const wjSeenEntryBytes = 48
-
-// StateStats implements StateAccountant: O(1) from the incremental record
-// counter and the dedup-map length.
+// StateStats implements StateAccountant: O(1) from the counters.
 func (j *windowJoin) StateStats() StateStats {
 	return StateStats{
-		Records: j.recCount + int64(len(j.seen)),
-		Bytes:   j.recCount*int64(unsafe.Sizeof(Record{})) + int64(len(j.seen))*wjSeenEntryBytes,
+		Records: j.recCount + j.pairCount,
+		Bytes:   j.recCount*int64(unsafe.Sizeof(Record{})) + j.pairCount*wjPairBytes,
 	}
 }
 
-// paneDeadline is the last partner timestamp a record in pane idx can
-// still join with: the end of the latest slide-aligned window covering
-// the pane.
-func (j *windowJoin) paneDeadline(idx event.Time) event.Time {
-	return idx*j.spec.Slide + j.spec.Window - 1
+// timeLeft is the event time left until the end of the latest window
+// covering pane idx: the last partner timestamp its records can join.
+func (j *windowJoin) timeLeft(idx event.Time) int64 {
+	return clampTimeLeft(idx*j.spec.Slide + j.spec.Window - 1 - j.maxTS)
 }
 
-// dupFactor bounds emissions per joined pair: one per covering window
-// unless this stage dedups (§3.1.4).
-func (j *windowJoin) dupFactor() float64 {
-	if j.seen != nil {
-		return 1
+// groupCounts sums a key group's buffered records per port.
+func groupCounts(g *joinGroup) (live [2]int) {
+	for _, p := range g.Panes {
+		live[0] += len(p.Recs[0])
+		live[1] += len(p.Recs[1])
 	}
-	return float64((j.spec.Window + j.spec.Slide - 1) / j.spec.Slide)
+	return live
 }
 
-// paneLoss bounds the matches dropped with pane p of one key group: each
+// paneLoss bounds the matches dropped with pane p of key group g: each
 // dropped record could have joined every live opposite-side record of
-// its group plus the expected opposite-side arrivals before the pane's
-// deadline, emitted once per covering window. liveL/liveR count the
-// group's buffered records including p itself. Over-counting is safe —
-// it only lowers the reported recall estimate; under-counting is not.
-func (j *windowJoin) paneLoss(p *joinPane, idx event.Time, liveL, liveR int) float64 {
-	timeLeft := clampTimeLeft(j.paneDeadline(idx) - j.maxTS)
-	loss := float64(len(p.left))*partnerBound(liveR, j.rRate.perTimeUnit(), timeLeft) +
-		float64(len(p.right))*partnerBound(liveL, j.lRate.perTimeUnit(), timeLeft)
-	return loss * j.dupFactor()
-}
-
-// groupCounts sums a key group's buffered records per side.
-func groupCounts(panes map[event.Time]*joinPane) (liveL, liveR int) {
-	for _, p := range panes {
-		liveL += len(p.left)
-		liveR += len(p.right)
+// its group (p's own included) plus the expected opposite-side arrivals
+// before the pane's last window ends, emitted once per covering window
+// unless the stage dedups (§3.1.4). That covers p's stored pairs too: a
+// stored pair's partner is either live or was charged when its own pane
+// was shed. Over-counting is safe — it only lowers the reported recall
+// estimate; under-counting is not.
+func (j *windowJoin) paneLoss(g *joinGroup, p *joinPane) float64 {
+	live := groupCounts(g)
+	var loss float64
+	for side := range p.Recs {
+		opp := 1 - side
+		loss += float64(len(p.Recs[side])) * partnerBound(live[opp], j.rate[opp].perTimeUnit(), j.timeLeft(p.Idx))
 	}
-	return
+	if j.spec.DedupEmits {
+		return loss
+	}
+	return loss * float64((j.spec.Window+j.spec.Slide-1)/j.spec.Slide)
 }
 
-// dropPane removes one pane from a key group, recycling its buffers and
-// updating the record accounting. Returns the records dropped.
-func (j *windowJoin) dropPane(key int64, idx event.Time, out *Collector) int64 {
-	panes := j.state[key]
-	p := panes[idx]
-	n := int64(len(p.left) + len(p.right))
-	j.recCount -= n
+// shedPane drops pane i of a key group with its records and stored pairs,
+// charging its lost-match bound, and returns the units dropped. Dropping
+// state only removes records and pairs from unfired windows, so the shed
+// run's output stays a subset of the unshed run's.
+func (j *windowJoin) shedPane(key int64, g *joinGroup, i int, lost *float64, out *Collector) int64 {
+	*lost += j.paneLoss(g, g.Panes[i])
+	n := j.release(g.Panes[i])
 	out.AddState(-n)
-	j.putRecs(p.left)
-	j.putRecs(p.right)
-	delete(panes, idx)
-	if len(panes) == 0 {
+	g.Panes = append(g.Panes[:i], g.Panes[i+1:]...)
+	if len(g.Panes) == 0 {
 		delete(j.state, key)
 	}
 	return n
@@ -432,24 +440,19 @@ func (j *windowJoin) dropPane(key int64, idx event.Time, out *Collector) int64 {
 
 // ShedOldest implements Shedder: whole oldest panes are dropped first
 // (across every key group) until at most target accounted units remain.
-// The dedup set is never shed — losing it could re-emit suppressed
-// duplicates, breaking the subset property; a shed pane only removes
-// records from unfired windows, which can only lose matches. Every
-// dropped pane charges its lost-match bound so the recall estimate
+// Every dropped pane charges its lost-match bound so the recall estimate
 // stays a sound lower bound.
 func (j *windowJoin) ShedOldest(target int64, out *Collector) int64 {
 	var dropped int64
 	var lost float64
-	for j.recCount+int64(len(j.seen)) > target {
+	for j.recCount+j.pairCount > target {
 		pmin, ok := j.minPane()
 		if !ok {
 			break
 		}
-		for key, panes := range j.state {
-			if p := panes[pmin]; p != nil {
-				liveL, liveR := groupCounts(panes)
-				lost += j.paneLoss(p, pmin, liveL, liveR)
-				dropped += j.dropPane(key, pmin, out)
+		for key, g := range j.state {
+			if g.Panes[0].Idx == pmin {
+				dropped += j.shedPane(key, g, 0, &lost, out)
 			}
 		}
 	}
@@ -459,54 +462,51 @@ func (j *windowJoin) ShedOldest(target int64, out *Collector) int64 {
 
 // ShedLowestValue implements ValueShedder: panes are dropped in order of
 // ascending completion value instead of age. A pane whose key group
-// holds records on both sides will produce matches with no further
-// arrivals and scores 1; a one-sided group only fires if the missing
-// side arrives before the pane's last covering window closes, so it
-// scores the Poisson completion probability of one such arrival. Ties
-// break oldest-pane-first, matching ShedOldest. Scores are computed
-// once per invocation (shedding is rare; staleness within one sweep
-// only reorders equally doomed panes). The dedup set is never shed.
+// holds records on both sides scores 1; in a one-sided group it scores
+// the Poisson probability that the missing side arrives before the
+// pane's last covering window closes. Ties break oldest-pane-first, as
+// in ShedOldest. Scores are computed once per invocation (shedding is
+// rare; staleness within one sweep only reorders equally doomed panes).
 func (j *windowJoin) ShedLowestValue(target int64, out *Collector) int64 {
 	type wjVictim struct {
 		key   int64
-		idx   event.Time
+		pane  *joinPane
 		score float64
 	}
 	var victims []wjVictim
-	for key, panes := range j.state {
-		liveL, liveR := groupCounts(panes)
-		for idx := range panes {
+	for key, g := range j.state {
+		live := groupCounts(g)
+		for _, p := range g.Panes {
 			score := 1.0
-			if liveL == 0 || liveR == 0 {
-				rate := j.rRate.perTimeUnit() // group waits on right-side arrivals
-				if liveL == 0 {
-					rate = j.lRate.perTimeUnit()
+			for side := range live { // a one-sided group waits on its empty port
+				if live[side] == 0 {
+					score = overload.CompletionValue(1, j.timeLeft(p.Idx), int64(j.spec.Window), j.rate[side].perTimeUnit())
+					break
 				}
-				timeLeft := clampTimeLeft(j.paneDeadline(idx) - j.maxTS)
-				score = overload.CompletionValue(1, timeLeft, int64(j.spec.Window), rate)
 			}
-			victims = append(victims, wjVictim{key, idx, score})
+			victims = append(victims, wjVictim{key, p, score})
 		}
 	}
 	sort.Slice(victims, func(a, b int) bool {
 		if victims[a].score != victims[b].score {
 			return victims[a].score < victims[b].score
 		}
-		return victims[a].idx < victims[b].idx
+		return victims[a].pane.Idx < victims[b].pane.Idx
 	})
 	var dropped int64
 	var lost float64
 	for _, v := range victims {
-		if j.recCount+int64(len(j.seen)) <= target {
+		if j.recCount+j.pairCount <= target {
 			break
 		}
-		panes := j.state[v.key]
-		if panes == nil || panes[v.idx] == nil {
-			continue
+		if g := j.state[v.key]; g != nil {
+			for i, p := range g.Panes {
+				if p == v.pane {
+					dropped += j.shedPane(v.key, g, i, &lost, out)
+					break
+				}
+			}
 		}
-		liveL, liveR := groupCounts(panes)
-		lost += j.paneLoss(panes[v.idx], v.idx, liveL, liveR)
-		dropped += j.dropPane(v.key, v.idx, out)
 	}
 	out.AddLostMatches(lost)
 	return dropped

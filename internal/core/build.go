@@ -267,10 +267,39 @@ func (b *builder) join(v *JoinPlan) (*asp.Stream, []string, error) {
 			LeftKey: leftKey, RightKey: rightKey,
 			NewPredicate: newPred,
 			DedupEmits:   v.Dedup,
+			SelfJoin:     !v.Ordered && sharesType(v.Left, v.Right),
 		})
 	}
 	s := left.Connect2(b.name(kind), right, parallelism, leftKey, rightKey, op)
 	return s, append(append([]string{}, leftAliases...), rightAliases...), nil
+}
+
+// sharesType reports whether some event type can be a constituent of both
+// a's and b's outputs: only then can one event reach both sides of a join.
+func sharesType(a, b PlanNode) bool {
+	at, bt := map[event.Type]bool{}, map[event.Type]bool{}
+	outputTypes(a, at)
+	outputTypes(b, bt)
+	for t := range bt {
+		if at[t] {
+			return true
+		}
+	}
+	return false
+}
+
+// outputTypes adds the event types of n's output constituents to into.
+func outputTypes(n PlanNode, into map[event.Type]bool) {
+	switch v := n.(type) {
+	case *ScanPlan:
+		into[v.Type] = true
+	case *NextOccurrencePlan:
+		into[v.T1.Type] = true // the negated type never becomes a constituent
+	default:
+		for _, k := range n.Kids() {
+			outputTypes(k, into)
+		}
+	}
 }
 
 // compileJoinPredicate assembles the per-instance θ predicate: window span,

@@ -11,8 +11,8 @@
 package event
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -198,14 +198,50 @@ func (m *Match) Ingest() int64 {
 // the same event set are duplicates regardless of constituent order, which
 // makes keys stable under join reordering (§4.2.2); sliding windows produce
 // duplicates whenever a match fits several overlapping windows (§3.1.4,
-// second impact).
-func (m *Match) Key() string {
-	parts := make([]string, len(m.Events))
-	for i, e := range m.Events {
-		parts[i] = fmt.Sprintf("%d:%d:%d", e.Type, e.ID, e.TS)
+// second impact). The key is binary (see AppendKey); String is the
+// human-readable rendering.
+func (m *Match) Key() string { return string(m.AppendKey(nil)) }
+
+// keyTriple is one constituent's identity in a match key.
+type keyTriple struct {
+	typ    Type
+	id, ts int64
+}
+
+func (a keyTriple) less(b keyTriple) bool {
+	if a.typ != b.typ {
+		return a.typ < b.typ
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, "|")
+	if a.id != b.id {
+		return a.id < b.id
+	}
+	return a.ts < b.ts
+}
+
+// AppendKey appends the match's identity to buf and returns the result:
+// the constituent (type, id, ts) triples in ascending numeric order, each
+// field a binary varint. Varints are self-delimiting, so the encoding is
+// exact — equal keys mean equal constituent multisets — and small ids and
+// timestamps stay short. Lookups pass a reused buffer (seen[string(buf)])
+// so that a duplicate costs no allocation.
+func (m *Match) AppendKey(buf []byte) []byte {
+	var arr [8]keyTriple // insertion sort in place: matches are short
+	trips := arr[:0]
+	for _, e := range m.Events {
+		t := keyTriple{e.Type, e.ID, e.TS}
+		i := len(trips)
+		trips = append(trips, t)
+		for ; i > 0 && t.less(trips[i-1]); i-- {
+			trips[i] = trips[i-1]
+		}
+		trips[i] = t
+	}
+	for _, t := range trips {
+		buf = binary.AppendVarint(buf, int64(t.typ))
+		buf = binary.AppendVarint(buf, t.id)
+		buf = binary.AppendVarint(buf, t.ts)
+	}
+	return buf
 }
 
 // String renders the match for logs and test failures.

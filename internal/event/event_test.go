@@ -136,6 +136,28 @@ func TestMatchKeyDistinguishes(t *testing.T) {
 	if a.Key() != c.Key() {
 		t.Fatal("identical matches have different keys")
 	}
+	// Constituent order does not matter; multiplicity and the field a
+	// value sits in do, also where varint lengths could let one field
+	// run into the next.
+	rev := NewMatch(Event{Type: 2, ID: 1, TS: 20}, Event{Type: 1, ID: 1, TS: 10})
+	if rev.Key() != a.Key() {
+		t.Fatal("key depends on constituent order")
+	}
+	distinct := []*Match{
+		NewMatch(Event{Type: 1, ID: 1, TS: 10}),
+		NewMatch(Event{Type: 1, ID: 1, TS: 10}, Event{Type: 1, ID: 1, TS: 10}),
+		NewMatch(Event{Type: 1, ID: 300, TS: 10}),
+		NewMatch(Event{Type: 1, ID: 10, TS: 300}),
+		NewMatch(Event{Type: 1, ID: -1, TS: 10}),
+		NewMatch(Event{Type: 300, ID: 1, TS: 10}),
+	}
+	seen := map[string]int{}
+	for i, m := range distinct {
+		if j, dup := seen[m.Key()]; dup {
+			t.Fatalf("matches %d and %d share a key: %s, %s", j, i, distinct[j], m)
+		}
+		seen[m.Key()] = i
+	}
 }
 
 // Property: Concat timestamps always equal min/max over all constituents.

@@ -44,6 +44,7 @@ func Evaluate(p *Pattern, events []event.Event) []*event.Match {
 	e.splitWhere()
 
 	seen := make(map[string]*event.Match)
+	var key []byte // reused: duplicate lookups do not allocate
 	var out []*event.Match
 	if len(sorted) == 0 {
 		return nil
@@ -65,10 +66,11 @@ func Evaluate(p *Pattern, events []event.Event) []*event.Match {
 				continue
 			}
 			m := part.toMatch()
-			if _, dup := seen[m.Key()]; dup {
+			key = m.AppendKey(key[:0])
+			if _, dup := seen[string(key)]; dup {
 				continue
 			}
-			seen[m.Key()] = m
+			seen[string(key)] = m
 			out = append(out, m)
 		}
 	}

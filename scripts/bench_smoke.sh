@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench_smoke.sh — performance smoke gates.
 #
-# Two gates, selected by the optional mode argument (default: all):
+# Three gates, selected by the optional mode argument (default: all):
 #
 #   pipeline  BenchmarkPipelineNoRegistry (a full source -> filter -> sink
 #             run with no metrics registry attached, where every
@@ -13,11 +13,18 @@
 #             must be at least BENCH_BATCH_MIN_GAIN percent faster,
 #             best-of-N on both sides. The measured pair is refreshed in
 #             results/bench_baseline.txt for the record.
+#   window    fig3c plain FASP at W=30 and W=360 min (benchrunner, bench
+#             scale), best-of-N tpl/s on both sides: W=360 must keep at
+#             least 1/BENCH_WINDOW_MAX_DECAY of W=30's throughput. Guards
+#             the sliding window join against re-joining pane pairs once
+#             per covering window, which made throughput fall with W.
 #
-#   make bench-smoke            # both gates
+#   make bench-smoke            # all gates
 #   make bench-batch            # batching gate only
+#   make bench-window           # window-decay gate only
 #   BENCH_SMOKE_COUNT=10 ...    # more repetitions (default 5, best wins)
 #   BENCH_BATCH_MIN_GAIN=10 ... # relax the batching bar (default 20%)
+#   BENCH_WINDOW_MAX_DECAY=9 .. # relax the window bar (default 8x)
 #   rm results/bench_baseline.txt && make bench-smoke   # re-record
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -107,15 +114,51 @@ batch_gate() {
 	echo "bench-batch: OK (recorded in $baseline_file)"
 }
 
+window_gate() {
+	local max_decay="${BENCH_WINDOW_MAX_DECAY:-8}"
+	local runs="${BENCH_SMOKE_COUNT:-5}"
+	local bin
+	bin=$(mktemp -d)/benchrunner
+	go build -o "$bin" ./cmd/benchrunner
+
+	local out="" i
+	for ((i = 0; i < runs; i++)); do
+		out+=$("$bin" -exp fig3c -scale bench)$'\n'
+	done
+	rm -rf "$(dirname "$bin")"
+	echo "$out" | grep -E '^fig3c/W=(30|360) +FASP ' || true
+
+	local w30 w360
+	# The overload accounting lines share the first two columns; require a
+	# numeric tpl/s column.
+	w30=$(echo "$out" | awk '$1 == "fig3c/W=30" && $2 == "FASP" && $3 ~ /^[0-9.]+$/ {print $3}' | sort -n | tail -1)
+	w360=$(echo "$out" | awk '$1 == "fig3c/W=360" && $2 == "FASP" && $3 ~ /^[0-9.]+$/ {print $3}' | sort -n | tail -1)
+	if [ -z "$w30" ] || [ -z "$w360" ]; then
+		echo "bench-window: missing fig3c FASP rows for W=30 or W=360" >&2
+		exit 1
+	fi
+
+	local decay
+	decay=$(awk -v a="$w30" -v b="$w360" 'BEGIN{printf "%.2f", a / b}')
+	echo "bench-window: best FASP W=30 $w30 tpl/s, W=360 $w360 tpl/s: ${decay}x decay (limit ${max_decay}x)"
+	if awk -v a="$w30" -v b="$w360" -v m="$max_decay" 'BEGIN{exit !(a > b * m)}'; then
+		echo "bench-window: FAIL — W=360 throughput fell below 1/${max_decay} of W=30" >&2
+		exit 1
+	fi
+	echo "bench-window: OK"
+}
+
 case "$mode" in
 all)
 	pipeline_gate
 	batch_gate
+	window_gate
 	;;
 pipeline) pipeline_gate ;;
 batch) batch_gate ;;
+window) window_gate ;;
 *)
-	echo "usage: $0 [all|pipeline|batch]" >&2
+	echo "usage: $0 [all|pipeline|batch|window]" >&2
 	exit 2
 	;;
 esac

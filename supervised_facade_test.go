@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -302,5 +303,65 @@ func TestSupervisedBudgetExhaustedSurfacesOperatorFailure(t *testing.T) {
 	}
 	if len(f.Stack) == 0 {
 		t.Fatal("failure carries no stack")
+	}
+}
+
+// A match record's poison key, taken from one supervised run's failure
+// report, must be printable and typeable: fed back as a chaos %recordkey
+// fault spec, it must fire on exactly that record.
+func TestMatchPoisonKeyRoundTripsThroughChaosSpec(t *testing.T) {
+	pattern, err := Parse(`
+		PATTERN SEQ(QnVQuantity q, QnVVelocity v)
+		WHERE q.value >= 50 AND v.value <= 50 WITHIN 10 MINUTES`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, v := GenerateQnV(3, 30, 5)
+	const sink = "sink#0"
+	run := func(f ChaosFault) (*OperatorFailure, *ChaosInjector) {
+		t.Helper()
+		policy := chaosTestPolicy(0)
+		policy.MaxRestarts = 0 // surface the first failure's report
+		inj := NewChaosInjector(f)
+		_, err := NewJob(pattern).
+			AddStream("QnVQuantity", q).
+			AddStream("QnVVelocity", v).
+			WithChaos(inj).
+			WithRestartPolicy(policy).
+			Run(context.Background())
+		var of *OperatorFailure
+		if !errors.As(err, &of) {
+			t.Fatalf("err = %v, want an OperatorFailure", err)
+		}
+		return of, inj
+	}
+
+	first, _ := run(ChaosFault{Kind: chaos.Panic, Node: sink, Instance: -1, AtHit: 3})
+	key := first.RecordKey
+	if !strings.HasPrefix(key, "m:") {
+		t.Fatalf("RecordKey = %q, want a match key", key)
+	}
+	for _, c := range key {
+		if c < 0x21 || c > 0x7e {
+			t.Fatalf("RecordKey %q holds a non-printable byte", key)
+		}
+	}
+	if !strings.HasPrefix(first.RecordSummary, "ce[") {
+		t.Fatalf("RecordSummary = %q, want the match rendered by Match.String", first.RecordSummary)
+	}
+
+	faults, err := ParseChaosFaults("panic:" + sink + "/*%" + key)
+	if err != nil {
+		t.Fatalf("failure report key does not parse as a chaos spec: %v", err)
+	}
+	second, inj := run(faults[0])
+	if second.RecordKey != key {
+		t.Fatalf("chaos fired on %q, want %q", second.RecordKey, key)
+	}
+	if second.RecordSummary != first.RecordSummary {
+		t.Fatalf("chaos fired on %s, want %s", second.RecordSummary, first.RecordSummary)
+	}
+	if fires := inj.Fires(); len(fires) != 1 {
+		t.Fatalf("fault fired %d times, want once: %v", len(fires), fires)
 	}
 }
