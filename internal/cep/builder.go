@@ -109,25 +109,15 @@ func (b *Builder) Where(pred func(e event.Event) bool) *Builder {
 	if b.err != nil {
 		return b
 	}
+	// Stage and negation predicates both find the event under test last:
+	// the candidate after the prefix, the blocker after the match.
+	last := func(es []event.Event) bool { return pred(es[len(es)-1]) }
 	if b.pendingNeg != nil {
-		neg := b.pendingNeg
-		prev := neg.Pred
-		neg.Pred = func(match []event.Event, blocker event.Event) bool {
-			if prev != nil && !prev(match, blocker) {
-				return false
-			}
-			return pred(blocker)
-		}
+		b.pendingNeg.Pred = conjoin(b.pendingNeg.Pred, last)
 		return b
 	}
 	s := &b.prog.Stages[len(b.prog.Stages)-1]
-	prev := s.Pred
-	s.Pred = func(prefix []event.Event, e event.Event) bool {
-		if prev != nil && !prev(prefix, e) {
-			return false
-		}
-		return pred(e)
-	}
+	s.Pred = conjoin(s.Pred, last)
 	return b
 }
 
@@ -142,16 +132,10 @@ func (b *Builder) WherePrev(pred func(prev, e event.Event) bool) *Builder {
 		return b
 	}
 	s := &b.prog.Stages[len(b.prog.Stages)-1]
-	prevPred := s.Pred
-	s.Pred = func(prefix []event.Event, e event.Event) bool {
-		if prevPred != nil && !prevPred(prefix, e) {
-			return false
-		}
-		if len(prefix) == 0 {
-			return true
-		}
-		return pred(prefix[len(prefix)-1], e)
-	}
+	s.Pred = conjoin(s.Pred, func(es []event.Event) bool {
+		n := len(es)
+		return n < 2 || pred(es[n-2], es[n-1])
+	})
 	return b
 }
 

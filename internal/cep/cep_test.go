@@ -128,6 +128,51 @@ func TestBuilderTimesAndNegation(t *testing.T) {
 	}
 }
 
+func TestBuilderPredicatesSeeCandidate(t *testing.T) {
+	// Where binds to the candidate of the stage added last, or to the
+	// blocker after NotFollowedBy; WherePrev compares the candidate with
+	// the constituent accepted before it.
+	prog, err := Begin("b", "CA").
+		Where(func(e event.Event) bool { return e.Value > 0 }).
+		NotFollowedBy("CX").
+		Where(func(e event.Event) bool { return e.Value > 10 }).
+		FollowedByAny("CB").
+		Where(func(e event.Event) bool { return e.Value > 5 }).
+		WherePrev(func(prev, e event.Event) bool { return prev.Value < e.Value }).
+		Within(10 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ta, tb, tx := event.RegisterType("CA"), event.RegisterType("CB"), event.RegisterType("CX")
+	at := func(typ event.Type, minute int64, value float64) event.Event {
+		return event.Event{Type: typ, TS: minute * event.Minute, Value: value}
+	}
+	events := []event.Event{
+		at(ta, 0, 1),
+		at(ta, 1, 0),  // fails a's Where
+		at(tx, 2, 5),  // fails the negation's Where: no blocker
+		at(tb, 3, 3),  // fails b's Where
+		at(tb, 4, 7),  // matches a@0
+		at(ta, 5, 9),  //
+		at(tx, 6, 20), // blocks a@0 from here on
+		at(tb, 7, 8),  // a@5: fails WherePrev (9 < 8)
+		at(tb, 8, 30), // a@5: blocked too
+	}
+	m, err := nfa.NewMachine(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []*event.Match
+	emit := func(ma *event.Match) { got = append(got, ma) }
+	for _, e := range events {
+		m.OnEvent(e, emit)
+	}
+	m.OnWatermark(event.MaxWatermark, emit)
+	if len(got) != 1 || got[0].Events[0].TS != 0 || got[0].Events[1].TS != 4*event.Minute {
+		t.Fatalf("got %v, want the single match (a@0, b@4)", got)
+	}
+}
+
 // runFCEP executes a pattern via the unary CEP operator in the engine:
 // union all sources, then the single operator — the paper's FCEP topology.
 func runFCEP(t *testing.T, pat *sea.Pattern, streams map[string][]event.Event) []*event.Match {

@@ -97,8 +97,12 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 		}
 	}
 
-	// Attach WHERE conjuncts to stages / negations.
-	stagePreds := make([][]sea.Predicate, len(prog.Stages))
+	// Attach WHERE conjuncts to stages / negations. The machine hands
+	// stage k's predicates the accepted prefix followed by the candidate,
+	// and negation predicates the full match followed by the blocker, so
+	// predicates compiled against stage positions attach directly.
+	stagePreds := make([][]func([]event.Event) bool, len(prog.Stages))
+	negPreds := make([][]func([]event.Event) bool, len(prog.Negations))
 	for _, conj := range sea.Conjuncts(p.Where) {
 		refs := sea.Aliases(conj)
 
@@ -117,19 +121,7 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 			if err != nil {
 				return nil, fmt.Errorf("cep: compiling negation predicate %s: %w", conj, err)
 			}
-			neg := &prog.Negations[ni]
-			prev := neg.Pred
-			// No shared scratch: one Program serves every parallel keyed
-			// instance, so predicate closures must be reentrant.
-			neg.Pred = func(match []event.Event, blocker event.Event) bool {
-				if prev != nil && !prev(match, blocker) {
-					return false
-				}
-				es := make([]event.Event, 0, blockerSlot+1)
-				es = append(es, match...)
-				es = append(es, blocker)
-				return pred(es)
-			}
+			negPreds[ni] = append(negPreds[ni], pred)
 			continue
 		}
 
@@ -142,15 +134,12 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 			if info == nil || !info.iter {
 				return nil, fmt.Errorf("cep: indexed predicate %s on non-iteration alias", conj)
 			}
-			pair, err := sea.CompilePair(conj, alias)
-			if err != nil {
-				return nil, fmt.Errorf("cep: compiling pairwise predicate %s: %w", conj, err)
-			}
 			for s := info.first + 1; s <= info.last; s++ {
-				prevIdx := s - 1
-				stagePreds[s] = append(stagePreds[s], func(es []event.Event) bool {
-					return pair(es[prevIdx], es[len(es)-1])
-				})
+				pair, err := sea.CompileIndexed(conj, alias, s-1, s)
+				if err != nil {
+					return nil, fmt.Errorf("cep: compiling pairwise predicate %s: %w", conj, err)
+				}
+				stagePreds[s] = append(stagePreds[s], pair)
 			}
 			continue
 		}
@@ -167,31 +156,43 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 		}
 	}
 
-	for s := range stagePreds {
-		preds := stagePreds[s]
-		if len(preds) == 0 {
-			continue
-		}
-		stageLen := s + 1
-		prog.Stages[s].Pred = func(prefix []event.Event, e event.Event) bool {
-			// No shared scratch: one Program serves every parallel keyed
-			// instance, so predicate closures must be reentrant.
-			es := make([]event.Event, 0, stageLen)
-			es = append(es, prefix...)
-			es = append(es, e)
-			for _, pr := range preds {
-				if !pr(es) {
-					return false
-				}
-			}
-			return true
-		}
+	for s, preds := range stagePreds {
+		prog.Stages[s].Pred = conjoin(preds...)
+	}
+	for n, preds := range negPreds {
+		prog.Negations[n].Pred = conjoin(preds...)
 	}
 
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
 	return prog, nil
+}
+
+// conjoin ands the non-nil predicates: nil for none, the predicate itself
+// for one, so the common single-conjunct stage pays no extra call. It
+// filters preds in place.
+func conjoin(preds ...func([]event.Event) bool) func([]event.Event) bool {
+	live := preds[:0]
+	for _, p := range preds {
+		if p != nil {
+			live = append(live, p)
+		}
+	}
+	switch len(live) {
+	case 0:
+		return nil
+	case 1:
+		return live[0]
+	}
+	return func(es []event.Event) bool {
+		for _, p := range live {
+			if !p(es) {
+				return false
+			}
+		}
+		return true
+	}
 }
 
 func negatedConjunct(refs []string, negAlias map[string]int) (int, bool) {
@@ -224,8 +225,10 @@ func expandPositions(conj sea.BoolExpr, refs []string, aliases map[string]*alias
 	}
 	var out []positioned
 	idx := make([]int, len(refs))
+	// Every combination sets every referenced alias, and CompileBool does
+	// not retain the layout, so one map serves them all.
+	layout := make(sea.Layout, len(refs))
 	for {
-		layout := sea.Layout{}
 		maxStage := 0
 		for i, a := range refs {
 			pos := choices[i][idx[i]]

@@ -2,7 +2,6 @@ package cep
 
 import (
 	"bytes"
-	"container/heap"
 	"encoding/gob"
 	"unsafe"
 
@@ -23,8 +22,7 @@ import (
 // footprint, exactly as the paper describes (§5.2.1: "this evaluation
 // process requires buffering of events").
 func NewOperator(prog *nfa.Program) (func(int) asp.Operator, error) {
-	// Fail fast: building one machine validates the program.
-	if _, err := nfa.NewMachine(prog); err != nil {
+	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
 	return func(int) asp.Operator {
@@ -33,14 +31,64 @@ func NewOperator(prog *nfa.Program) (func(int) asp.Operator, error) {
 	}, nil
 }
 
+// eventHeap is the reorder buffer: a binary min-heap on TS, typed on
+// event.Event so push and pop never box an event into an interface. Its
+// sift steps are container/heap's, so events with equal timestamps pop in
+// the same order they always did.
 type eventHeap []event.Event
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].TS < h[j].TS }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event.Event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 func (h eventHeap) peekTS() event.Time { return h[0].TS }
+
+func (h *eventHeap) push(e event.Event) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+func (h *eventHeap) pop() event.Event {
+	old := *h
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	h.down(0, n)
+	e := old[n]
+	*h = old[:n]
+	return e
+}
+
+// init establishes the heap order over arbitrary contents.
+func (h eventHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h eventHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || h[j].TS >= h[i].TS {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h eventHeap) down(i, n int) {
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].TS < h[j].TS {
+			j = r
+		}
+		if h[j].TS >= h[i].TS {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
 
 type cepOperator struct {
 	machine   *nfa.Machine
@@ -57,14 +105,14 @@ func (o *cepOperator) OnRecord(_ int, r asp.Record, out *asp.Collector) {
 	if r.Kind != asp.KindEvent {
 		return // the CEP operator consumes plain events only
 	}
-	heap.Push(&o.buffer, r.Event)
+	o.buffer.push(r.Event)
 	out.AddState(1)
 }
 
 func (o *cepOperator) OnWatermark(wm event.Time, out *asp.Collector) {
 	emit := func(m *event.Match) { out.EmitMatch(m.TsE, m) }
-	for o.buffer.Len() > 0 && o.buffer.peekTS() <= wm {
-		e := heap.Pop(&o.buffer).(event.Event)
+	for len(o.buffer) > 0 && o.buffer.peekTS() <= wm {
+		e := o.buffer.pop()
 		out.AddState(-1)
 		o.machine.OnEvent(e, emit)
 	}
@@ -104,7 +152,7 @@ func (o *cepOperator) RestoreState(data []byte) error {
 		return err
 	}
 	o.buffer = st.Buffer
-	heap.Init(&o.buffer)
+	o.buffer.init()
 	o.lastState = o.machine.StateSize()
 	return nil
 }
@@ -192,7 +240,7 @@ func (o *cepOperator) shed(target int64, out *asp.Collector, shedMachine func(in
 	}
 	if !o.machine.Negated() {
 		for int64(len(o.buffer))+o.machine.StateSize() > target && len(o.buffer) > 0 {
-			e := heap.Pop(&o.buffer).(event.Event) // min-heap by TS: pops the oldest event
+			e := o.buffer.pop() // min-heap by TS: pops the oldest event
 			o.bufLost += o.machine.LostEventBound(e)
 			out.AddState(-1)
 			dropped++

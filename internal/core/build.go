@@ -327,10 +327,10 @@ func (b *builder) compileJoinPredicate(v *JoinPlan, nl, nr int) (func() asp.Join
 		}
 	}
 
-	var pair sea.PairPredicate
+	var pair sea.Predicate
 	if v.PairPred != nil {
 		var err error
-		pair, err = sea.CompilePair(v.PairPred, v.PairAlias)
+		pair, err = sea.CompileIndexed(v.PairPred, v.PairAlias, 0, 1)
 		if err != nil {
 			return nil, fmt.Errorf("core: compiling pairwise predicate %s: %w", v.PairPred, err)
 		}
@@ -338,6 +338,7 @@ func (b *builder) compileJoinPredicate(v *JoinPlan, nl, nr int) (func() asp.Join
 
 	return func() asp.JoinPredicate {
 		scratch := make([]event.Event, 0, nl+nr)
+		pairBuf := make([]event.Event, 2) // (last left, first right)
 		at := func(l, r []event.Event, pos int) event.Event {
 			if pos < nl {
 				return l[pos]
@@ -372,8 +373,11 @@ func (b *builder) compileJoinPredicate(v *JoinPlan, nl, nr int) (func() asp.Join
 					return false
 				}
 			}
-			if pair != nil && !pair(l[nl-1], r[0]) {
-				return false
+			if pair != nil {
+				pairBuf[0], pairBuf[1] = l[nl-1], r[0]
+				if !pair(pairBuf) {
+					return false
+				}
 			}
 			for _, ac := range auxChecks {
 				t1 := at(l, r, ac.T1Pos)

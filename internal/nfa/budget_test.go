@@ -17,61 +17,122 @@ func matchKey(m *event.Match) string {
 }
 
 func TestSetBudgetCapsStateAndKeepsSubset(t *testing.T) {
-	// Dense skip-till-any input: many As, each later B pairs with all of
-	// them — the state-multiplying workload.
+	// SEQ(A, B, !D, C) keyed over five IDs: every key holds its own
+	// partials, so state exceeds the budget under every policy, and the
+	// middle stage makes admit shed mid-pass while partials are consumed.
+	// Each round feeds every key A, then B, then C, contiguous per key so
+	// that strict contiguity matches too; a D blocker in round 1 voids
+	// key 0's matches that span it.
 	var events []event.Event
-	for i := int64(0); i < 20; i++ {
-		events = append(events, ev(tA, i, float64(i)))
-	}
-	events = append(events, ev(tB, 20, 0), ev(tB, 21, 0))
-
-	prog := &Program{
-		Name:   "seq",
-		Stages: []Stage{{Name: "a", Type: tA}, {Name: "b", Type: tB}},
-		Window: 100 * event.Minute,
-		Policy: SkipTillAnyMatch,
-	}
-
-	unbudgeted := collect(t, prog, events)
-	full := make(map[string]bool, len(unbudgeted))
-	for _, m := range unbudgeted {
-		full[matchKey(m)] = true
-	}
-
-	const budget = 4
-	m, err := NewMachine(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shed int64
-	m.SetBudget(
-		func() int64 { return budget },
-		func() int64 { return budget / 2 },
-		func(n int64) { shed += n },
-	)
-	var capped []*event.Match
-	emit := func(ma *event.Match) { capped = append(capped, ma) }
-	for _, e := range events {
-		m.OnEvent(e, emit)
-		if got := m.StateSize(); got > budget {
-			t.Fatalf("StateSize = %d after event at %d, budget %d", got, e.TS, budget)
+	minute := int64(0)
+	for round := 0; round < 4; round++ {
+		for _, typ := range []event.Type{tA, tB, tC} {
+			if round == 1 && typ == tC {
+				events = append(events, event.Event{Type: tD, ID: 0, TS: minute * event.Minute})
+				minute++
+			}
+			for id := int64(0); id < 5; id++ {
+				events = append(events, event.Event{Type: typ, ID: id, TS: minute * event.Minute})
+				minute++
+			}
 		}
 	}
-	m.OnWatermark(event.MaxWatermark, emit)
 
-	if shed == 0 {
-		t.Fatal("expected non-zero shed count under a tight budget")
+	for _, policy := range []Policy{SkipTillAnyMatch, SkipTillNextMatch, StrictContiguity} {
+		t.Run(policy.String(), func(t *testing.T) {
+			prog := &Program{
+				Name:      "nseq3",
+				Stages:    []Stage{{Name: "a", Type: tA}, {Name: "b", Type: tB}, {Name: "c", Type: tC}},
+				Negations: []Negation{{Type: tD, After: 1}},
+				Window:    100 * event.Minute,
+				Policy:    policy,
+				Key:       func(e event.Event) int64 { return e.ID },
+			}
+			unbudgeted := collect(t, prog, events)
+			full := make(map[string]bool, len(unbudgeted))
+			for _, m := range unbudgeted {
+				full[matchKey(m)] = true
+			}
+
+			const budget = 4
+			m, err := NewMachine(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var shed int64
+			m.SetBudget(
+				func() int64 { return budget },
+				func() int64 { return budget / 2 },
+				func(n int64) { shed += n },
+			)
+			var capped []*event.Match
+			emit := func(ma *event.Match) { capped = append(capped, ma) }
+			for _, e := range events {
+				m.OnEvent(e, emit)
+				// Blockers are never capped; partials and pendings are.
+				if got := m.StateSize() - blockerCount(m); got > budget {
+					t.Fatalf("%d partials and pendings after event at %d, budget %d", got, e.TS, budget)
+				}
+				checkStateCounts(t, m)
+			}
+			m.OnWatermark(event.MaxWatermark, emit)
+			checkStateCounts(t, m)
+
+			if shed == 0 {
+				t.Fatal("expected non-zero shed count under a tight budget")
+			}
+			if len(capped) == 0 {
+				t.Fatal("capped run should still produce some matches")
+			}
+			if len(capped) >= len(unbudgeted) {
+				t.Fatalf("capped run found %d matches, unbudgeted %d: expected fewer", len(capped), len(unbudgeted))
+			}
+			for _, ma := range capped {
+				if !full[matchKey(ma)] {
+					t.Fatalf("capped run fabricated match %v not present unbudgeted", ma.Events)
+				}
+			}
+		})
 	}
-	if len(capped) == 0 {
-		t.Fatal("capped run should still produce some matches")
-	}
-	if len(capped) >= len(unbudgeted) {
-		t.Fatalf("capped run found %d matches, unbudgeted %d: expected fewer", len(capped), len(unbudgeted))
-	}
-	for _, ma := range capped {
-		if !full[matchKey(ma)] {
-			t.Fatalf("capped run fabricated match %v not present unbudgeted", ma.Events)
+}
+
+func blockerCount(m *Machine) int64 {
+	var n int64
+	for _, g := range m.groups {
+		for _, bs := range g.blockers {
+			n += int64(len(bs))
 		}
+	}
+	return n
+}
+
+// checkStateCounts recounts the machine's live partials, pending matches
+// and blockers, and their constituent events, against the incrementally
+// maintained StateSize and StateElems.
+func checkStateCounts(t *testing.T, m *Machine) {
+	t.Helper()
+	var units, elems int64
+	for _, g := range m.groups {
+		for _, ps := range g.partials {
+			for _, p := range ps {
+				if !p.dead {
+					units++
+					elems += int64(len(p.events))
+				}
+			}
+		}
+		for _, pm := range g.pending {
+			if !pm.dead {
+				units++
+				elems += int64(len(pm.events))
+			}
+		}
+	}
+	b := blockerCount(m)
+	units += b
+	elems += b
+	if m.StateSize() != units || m.StateElems() != elems {
+		t.Fatalf("StateSize/StateElems = %d/%d, recount %d/%d", m.StateSize(), m.StateElems(), units, elems)
 	}
 }
 

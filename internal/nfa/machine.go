@@ -22,6 +22,11 @@ type Emit func(m *event.Match)
 type Machine struct {
 	prog   *Program
 	groups map[int64]*group
+	// scratch holds the constituent slice a predicate reads: the accepted
+	// prefix followed by the candidate, or a full match followed by a
+	// blocker. One Machine serves one operator instance, so one buffer of
+	// len(Stages)+1 events makes every predicate check allocation-free.
+	scratch []event.Event
 	// OnState, when set, receives buffered-element deltas for the state
 	// budget accounting (the FlinkCEP memory-exhaustion analogue).
 	OnState func(delta int64)
@@ -54,10 +59,11 @@ type partial struct {
 	// (advancing copies into a new partial, it never mutates this one).
 	stage int
 	item  *overload.HeapItem
-	// dead marks a unit shed under state pressure. Tombstoning instead of
-	// slice surgery keeps shedTo safe to call mid-OnEvent, while that call
-	// still iterates the stage slices; compaction happens lazily at the
-	// next OnEvent/OnWatermark pass.
+	// dead marks a unit shed under state pressure or consumed by its
+	// next relevant event. Tombstoning instead of slice surgery keeps
+	// shedTo safe to call mid-OnEvent, while that call still iterates the
+	// stage slices; compact removes a tombstone after the next pass over
+	// its slice.
 	dead bool
 }
 
@@ -88,7 +94,12 @@ func NewMachine(prog *Program) (*Machine, error) {
 			rates[st.Type] = overload.NewRate(0)
 		}
 	}
-	return &Machine{prog: prog, groups: make(map[int64]*group), rates: rates}, nil
+	return &Machine{
+		prog:    prog,
+		groups:  make(map[int64]*group),
+		scratch: make([]event.Event, len(prog.Stages)+1),
+		rates:   rates,
+	}, nil
 }
 
 // SetPatternAware switches shed-victim selection between oldest-first and
@@ -242,13 +253,32 @@ func (m *Machine) shedPending(pm *pendingMatch) {
 	m.addState(-1)
 }
 
-// detach removes a unit's heap presence on its normal death paths
-// (expiry, consumption, resolution) — no loss is charged there.
-func (m *Machine) detachPartial(p *partial) {
+// retire tombstones a partial on its normal death paths (expiry,
+// consumption, strict-contiguity breaks) — no loss is charged there. The
+// caller compacts the stage slice after its pass.
+func (m *Machine) retire(p *partial) {
+	p.dead = true
 	if p.item != nil {
 		m.heap.Remove(p.item)
 		p.item = nil
 	}
+	m.addState(-1)
+	m.elems -= int64(len(p.events))
+}
+
+// compact drops tombstoned partials from a stage slice in place. It runs
+// once after each pass over the slice, never during one: admit can call
+// shedTo mid-pass, and shedTo walks these slices.
+func compact(ps []*partial) []*partial {
+	n := 0
+	for _, p := range ps {
+		if !p.dead {
+			ps[n] = p
+			n++
+		}
+	}
+	clear(ps[n:])
+	return ps[:n]
 }
 
 func (m *Machine) detachPending(pm *pendingMatch) {
@@ -469,7 +499,6 @@ func (m *Machine) OnEvent(e event.Event, emit Emit) {
 		}
 	}
 
-	advanced := make(map[*partial]bool)
 	lastStage := len(m.prog.Stages) - 1
 
 	for k, stage := range m.prog.Stages {
@@ -477,7 +506,8 @@ func (m *Machine) OnEvent(e event.Event, emit Emit) {
 			continue
 		}
 		if k == 0 {
-			if stage.Pred == nil || stage.Pred(nil, e) {
+			m.scratch[0] = e
+			if stage.Pred == nil || stage.Pred(m.scratch[:1]) {
 				if lastStage == 0 {
 					m.complete(g, []event.Event{e}, emit)
 				} else if m.admit() {
@@ -494,23 +524,23 @@ func (m *Machine) OnEvent(e event.Event, emit Emit) {
 			}
 			continue
 		}
-		prev := g.partials[k-1]
-		var kept []*partial
-		for _, p := range prev {
+		for _, p := range g.partials[k-1] {
 			if p.dead {
-				continue // shed earlier in this call; compact lazily
+				continue // shed or consumed earlier; compacted below
 			}
-			last := p.events[len(p.events)-1]
-			ok := e.TS > last.TS &&
-				e.TS-p.firstTS < m.prog.Window &&
-				(stage.Pred == nil || stage.Pred(p.events, e))
-			if !ok {
-				kept = append(kept, p)
+			if e.TS <= p.events[k-1].TS || e.TS-p.firstTS >= m.prog.Window {
 				continue
 			}
-			events := make([]event.Event, len(p.events)+1)
+			if stage.Pred != nil {
+				copy(m.scratch, p.events)
+				m.scratch[k] = e
+				if !stage.Pred(m.scratch[:k+1]) {
+					continue
+				}
+			}
+			events := make([]event.Event, k+1)
 			copy(events, p.events)
-			events[len(p.events)] = e
+			events[k] = e
 			if k == lastStage {
 				m.complete(g, events, emit)
 			} else if m.admit() {
@@ -525,43 +555,28 @@ func (m *Machine) OnEvent(e event.Event, emit Emit) {
 				m.lost += m.lossBound(k, p.firstTS)
 			}
 			// admit/complete may have shed p itself; only account the
-			// consumption of a still-live partial.
-			switch {
-			case p.dead:
-			case m.prog.Policy == SkipTillAnyMatch:
-				// Branch: the original partial survives and may combine
-				// with later events — the exponential behaviour.
-				kept = append(kept, p)
-			default:
-				// SkipTillNextMatch / StrictContiguity: the partial is
-				// consumed by its next relevant event.
-				advanced[p] = true
-				m.detachPartial(p)
-				m.addState(-1)
-				m.elems -= int64(len(p.events))
+			// consumption of a still-live partial. Under SkipTillAnyMatch
+			// the partial branches: it survives and may combine with later
+			// events — the exponential behaviour. Under SkipTillNextMatch
+			// and StrictContiguity its next relevant event consumes it.
+			if !p.dead && m.prog.Policy != SkipTillAnyMatch {
+				m.retire(p)
 			}
 		}
-		g.partials[k-1] = kept
+		g.partials[k-1] = compact(g.partials[k-1])
 	}
 
 	// Strict contiguity: any event that did not advance a partial of the
-	// same key kills it.
+	// same key kills it. Partials this event created or advanced end in
+	// it; the ones it consumed are already retired.
 	if m.prog.Policy == StrictContiguity {
-		for k := range g.partials {
-			var kept []*partial
-			for _, p := range g.partials[k] {
-				if p.dead {
-					continue
-				}
-				if advanced[p] || p.events[len(p.events)-1].TS == e.TS {
-					kept = append(kept, p)
-				} else {
-					m.detachPartial(p)
-					m.addState(-1)
-					m.elems -= int64(len(p.events))
+		for k, ps := range g.partials {
+			for _, p := range ps {
+				if !p.dead && p.events[len(p.events)-1].TS != e.TS {
+					m.retire(p)
 				}
 			}
-			g.partials[k] = kept
+			g.partials[k] = compact(ps)
 		}
 	}
 }
@@ -598,21 +613,13 @@ func (m *Machine) OnWatermark(wm event.Time, emit Emit) {
 	}
 	for key, g := range m.groups {
 		// Partials that can no longer complete within the window.
-		for k := range g.partials {
-			var kept []*partial
-			for _, p := range g.partials[k] {
-				if p.dead {
-					continue
-				}
-				if p.firstTS+m.prog.Window-1 > wm {
-					kept = append(kept, p)
-				} else {
-					m.detachPartial(p)
-					m.addState(-1)
-					m.elems -= int64(len(p.events))
+		for k, ps := range g.partials {
+			for _, p := range ps {
+				if !p.dead && p.firstTS+m.prog.Window-1 <= wm {
+					m.retire(p)
 				}
 			}
-			g.partials[k] = kept
+			g.partials[k] = compact(ps)
 		}
 		// Pending matches whose blocker intervals are fully observed.
 		var still []*pendingMatch
@@ -640,13 +647,19 @@ func (m *Machine) OnWatermark(wm event.Time, emit Emit) {
 }
 
 func (m *Machine) survivesNegations(g *group, events []event.Event) bool {
+	es := m.scratch[:len(events)+1]
+	copy(es, events)
 	for i, neg := range m.prog.Negations {
 		after := events[neg.After].TS
 		before := events[neg.After+1].TS
 		bs := g.blockers[i]
 		from := sort.Search(len(bs), func(k int) bool { return bs[k].TS > after })
 		for j := from; j < len(bs) && bs[j].TS < before; j++ {
-			if neg.Pred == nil || neg.Pred(events, bs[j]) {
+			if neg.Pred == nil {
+				return false
+			}
+			es[len(events)] = bs[j]
+			if neg.Pred(es) {
 				return false
 			}
 		}

@@ -51,11 +51,13 @@ func (p Policy) String() string {
 	return "unknown-policy"
 }
 
-// StagePred evaluates a stage's predicates incrementally: prefix holds the
-// constituents accepted so far (in stage order) and e is the candidate.
-// Compilers bind each WHERE conjunct to the earliest stage at which all its
-// aliases are available.
-type StagePred func(prefix []event.Event, e event.Event) bool
+// StagePred evaluates a stage's predicates incrementally: es holds the
+// constituents accepted so far (in stage order) followed by the candidate,
+// so the candidate of stage k sits at es[k]. Compilers bind each WHERE
+// conjunct to the earliest stage at which all its aliases are available,
+// which lets compiled sea.Predicates serve as stage predicates directly.
+// es is the machine's scratch buffer: a predicate must not retain it.
+type StagePred func(es []event.Event) bool
 
 // Stage is one positive state transition of the automaton. Bounded
 // iterations are expanded into consecutive stages of the same type, which
@@ -73,8 +75,10 @@ type Negation struct {
 	Type event.Type
 	// After is the index of the positive stage preceding the negation.
 	After int
-	// Pred receives the full candidate match and the potential blocker.
-	Pred func(match []event.Event, blocker event.Event) bool
+	// Pred receives the full candidate match followed by the potential
+	// blocker, which sits at es[len(Stages)]. Like a StagePred, it reads
+	// the machine's scratch buffer and must not retain it.
+	Pred func(es []event.Event) bool
 }
 
 // Program is a compiled pattern ready for execution by a Machine.

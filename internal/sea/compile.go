@@ -16,14 +16,10 @@ type Layout map[string]int
 // (partial) match.
 type Predicate func(events []event.Event) bool
 
-// PairPredicate is a compiled predicate over two consecutive iteration
-// constituents (e[i], e[i+1]).
-type PairPredicate func(a, b event.Event) bool
-
 // CompileBool compiles e against the given layout. Every alias referenced by
 // e must be present in the layout and no iteration-indexed references may
-// appear (compile those with CompilePair). The returned closure performs no
-// allocation.
+// appear (compile those with CompileIndexed). The returned closure performs
+// no allocation.
 func CompileBool(e BoolExpr, layout Layout) (Predicate, error) {
 	switch v := e.(type) {
 	case TrueExpr:
@@ -102,15 +98,7 @@ func compileNum(e NumExpr, layout Layout) (numFn, error) {
 		if !ok {
 			return nil, fmt.Errorf("sea: alias %q not in layout", v.Alias)
 		}
-		attr := v.Attr
-		// Resolve the attribute accessor once, at compile time.
-		if _, ok := (event.Event{}).Attr(attr); !ok {
-			return nil, fmt.Errorf("sea: unknown attribute %q", attr)
-		}
-		return func(es []event.Event) float64 {
-			val, _ := es[pos].Attr(attr)
-			return val
-		}, nil
+		return attrFn(v.Attr, pos)
 	case Arith:
 		l, err := compileNum(v.L, layout)
 		if err != nil {
@@ -134,18 +122,34 @@ func compileNum(e NumExpr, layout Layout) (numFn, error) {
 	return nil, fmt.Errorf("sea: cannot compile numeric expression %T", e)
 }
 
-// CompilePair compiles an iteration predicate referencing alias[i] and
-// alias[i+1] into a closure over the consecutive pair. Plain (unindexed)
-// references are rejected; mix per-event thresholds and pairwise constraints
-// as separate conjuncts instead.
-func CompilePair(e BoolExpr, alias string) (PairPredicate, error) {
-	pred, err := CompileBool(rewriteIndexed(e, alias), Layout{pairSlotI: 0, pairSlotNext: 1})
-	if err != nil {
-		return nil, err
+// attrFn resolves the attribute accessor once, at compile time: one
+// closure per field, so evaluation skips the name switch of
+// event.Event.Attr.
+func attrFn(attr string, pos int) (numFn, error) {
+	switch attr {
+	case event.AttrID:
+		return func(es []event.Event) float64 { return float64(es[pos].ID) }, nil
+	case event.AttrLat:
+		return func(es []event.Event) float64 { return es[pos].Lat }, nil
+	case event.AttrLon:
+		return func(es []event.Event) float64 { return es[pos].Lon }, nil
+	case event.AttrTS:
+		return func(es []event.Event) float64 { return float64(es[pos].TS) }, nil
+	case event.AttrValue:
+		return func(es []event.Event) float64 { return es[pos].Value }, nil
+	case event.AttrAuxTS:
+		return func(es []event.Event) float64 { return float64(es[pos].AuxTS) }, nil
 	}
-	return func(a, b event.Event) bool {
-		return pred([]event.Event{a, b})
-	}, nil
+	return nil, fmt.Errorf("sea: unknown attribute %q", attr)
+}
+
+// CompileIndexed compiles an iteration predicate referencing alias[i] and
+// alias[i+1] into a closure over a constituent slice that holds alias[i] at
+// position i and alias[i+1] at position next. Plain (unindexed) references
+// are rejected; mix per-event thresholds and pairwise constraints as
+// separate conjuncts instead.
+func CompileIndexed(e BoolExpr, alias string, i, next int) (Predicate, error) {
+	return CompileBool(rewriteIndexed(e, alias), Layout{pairSlotI: i, pairSlotNext: next})
 }
 
 // Internal alias names used when lowering indexed references onto a

@@ -91,27 +91,68 @@ func TestCompileIndexedOutsideIter(t *testing.T) {
 	}
 }
 
-func TestCompilePairIncreasing(t *testing.T) {
-	// e[i].value < e[i+1].value — the paper's ITER_2 constraint.
+func TestCompileIndexedIncreasing(t *testing.T) {
+	// e[i].value < e[i+1].value — the paper's ITER_2 constraint — lowered
+	// onto positions 2 and 0 of a three-event slice.
 	expr := Cmp{Op: CmpLT, L: RefI("e", "value"), R: RefNext("e", "value")}
-	pred, err := CompilePair(expr, "e")
+	pred, err := CompileIndexed(expr, "e", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pred(event.Event{Value: 1}, event.Event{Value: 2}) {
+	if !pred([]event.Event{{Value: 2}, {Value: 9}, {Value: 1}}) {
 		t.Error("1 < 2 should hold")
 	}
-	if pred(event.Event{Value: 2}, event.Event{Value: 2}) {
+	if pred([]event.Event{{Value: 2}, {Value: 0}, {Value: 2}}) {
 		t.Error("2 < 2 should not hold")
 	}
 }
 
-func TestCompilePairMixedRefs(t *testing.T) {
+func TestCompileIndexedMixedRefs(t *testing.T) {
 	// A pairwise predicate can also mention other plain aliases... but
-	// those must be rejected since CompilePair only has the pair layout.
+	// those must be rejected since CompileIndexed only has the pair layout.
 	expr := Cmp{Op: CmpLT, L: RefI("e", "value"), R: Ref("q", "value")}
-	if _, err := CompilePair(expr, "e"); err == nil {
-		t.Fatal("CompilePair accepted a foreign plain alias")
+	if _, err := CompileIndexed(expr, "e", 0, 1); err == nil {
+		t.Fatal("CompileIndexed accepted a foreign plain alias")
+	}
+}
+
+func TestCompiledAttributesMatchEventAttr(t *testing.T) {
+	e := event.Event{ID: 7, Lat: 1.5, Lon: -2.5, TS: 11, Value: 3.25, AuxTS: 13}
+	for _, name := range []string{event.AttrID, event.AttrLat, event.AttrLon, event.AttrTS, event.AttrValue, event.AttrAuxTS} {
+		get, err := attrFn(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := e.Attr(name)
+		if got := get([]event.Event{{}, e}); got != want {
+			t.Errorf("%s: compiled accessor read %g, Event.Attr %g", name, got, want)
+		}
+	}
+	if _, err := attrFn("nope", 0); err == nil {
+		t.Error("unknown attribute compiled")
+	}
+}
+
+func TestCompiledPredicatesDoNotAllocate(t *testing.T) {
+	plain, err := CompileBool(And{
+		L: Cmp{Op: CmpLT, L: Ref("a", "value"), R: Arith{Op: OpMul, L: Ref("b", "ts"), R: Lit(2)}},
+		R: Or{L: Cmp{Op: CmpGE, L: Ref("b", "lat"), R: Lit(0)}, R: Not{E: Cmp{Op: CmpEQ, L: Ref("a", "id"), R: Lit(1)}}},
+	}, Layout{"a": 0, "b": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed, err := CompileIndexed(Cmp{Op: CmpLT, L: RefI("e", "value"), R: RefNext("e", "value")}, "e", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := []event.Event{{ID: 1, Value: 1, TS: 3}, {Value: 2, TS: 4, Lat: 1}}
+	for name, pred := range map[string]Predicate{"CompileBool": plain, "CompileIndexed": indexed} {
+		if !pred(es) {
+			t.Fatalf("%s: predicate should hold on %v", name, es)
+		}
+		if n := testing.AllocsPerRun(100, func() { pred(es) }); n != 0 {
+			t.Errorf("%s: %v allocations per evaluation, want 0", name, n)
+		}
 	}
 }
 

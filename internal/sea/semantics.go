@@ -351,12 +351,12 @@ func (ev *evaluator) holdsUniversally(conj BoolExpr, bind map[string]event.Event
 		if len(seq) == 0 {
 			return true
 		}
-		pred, err := CompilePair(conj, alias)
+		pred, err := CompileIndexed(conj, alias, 0, 1)
 		if err != nil {
 			return false
 		}
 		for i := 0; i+1 < len(seq); i++ {
-			if !pred(seq[i], seq[i+1]) {
+			if !pred(seq[i : i+2]) {
 				return false
 			}
 		}
